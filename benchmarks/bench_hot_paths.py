@@ -5,7 +5,9 @@ trajectory.  It times :class:`~repro.core.index.ScanIndex` construction with
 every exact similarity backend (and queries against the resulting index) on
 planted-partition graphs of growing size, then writes the measurements to
 ``BENCH_hot_paths.json`` next to the repository root so successive PRs can
-compare engines over time.
+compare engines over time.  The default (non-``--tiny``) run adds a
+1M-vertex / 4M-edge random sparse rung that times the serial similarity
+pass alone: the scaling guard of the batch engine's fixed-size slot table.
 
 Run standalone::
 
@@ -24,10 +26,12 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro import ScanIndex
 from repro.bench import capture_environment, format_table
 from repro.bench.recording import add_record_argument, record_payload
-from repro.graphs import planted_partition
+from repro.graphs import from_edge_list, planted_partition
 from repro.parallel import Scheduler
 from repro.similarity import compute_similarities
 from repro.similarity.batch import batch_numerators
@@ -44,6 +48,8 @@ DEFAULT_LADDER = [
     (60, 60, 0.35, 0.005),
 ]
 TINY_LADDER = [(4, 20, 0.30, 0.02)]
+#: (num_vertices, num_edges) of the random sparse scaling-guard rung.
+SPARSE_RUNG = (1_000_000, 4_000_000)
 
 #: Dense matmul is only reasonable while the adjacency matrix stays small.
 MATMUL_VERTEX_LIMIT = 2000
@@ -71,7 +77,6 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
     # Warm the memoised graph structures so every backend is timed on equal
     # footing (the first caller would otherwise pay for the shared caches).
     graph.degree_oriented_csr()
-    graph.oriented_search_keys()
     backends = ["batch", "merge", "hash"]
     if graph.num_vertices <= MATMUL_VERTEX_LIMIT:
         backends.append("matmul")
@@ -92,18 +97,6 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
             index.query(mu, epsilon)
 
     query_seconds, _ = _time(lambda: [run_queries() for _ in range(QUERY_REPEATS)])
-
-    # Membership-probe strategy comparison (the before/after of the bounded
-    # per-source-segment search vs the global composite-key searchsorted):
-    # recorded on every rung so the crossover driving `resolve_probe`'s
-    # "auto" heuristic stays visible in the JSON trajectory.
-    probe_seconds = {}
-    for strategy in ("global", "bounded"):
-        probe_seconds[strategy], _ = _time(
-            lambda strategy=strategy: batch_numerators(
-                graph, Scheduler(), probe=strategy
-            )
-        )
     return {
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
@@ -111,7 +104,6 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
         "construction_seconds": construction,
         "similarity_seconds": similarity_only,
         "query_seconds_per_batch": query_seconds / QUERY_REPEATS,
-        "probe_seconds": probe_seconds,
         # The backend only controls the similarity stage; the neighbor/core
         # order sorts are identical work for every backend, so the engine
         # comparison is the similarity construction time.
@@ -120,13 +112,37 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
     }
 
 
-def run(ladder, output: Path | None) -> dict:
+def bench_sparse_similarity(num_vertices: int, num_edges: int, *, seed=0) -> dict:
+    """Serial similarity pass on a large random sparse graph.
+
+    The scaling guard of the slot-table probe: its table holds a fixed
+    number of slots, so the number of source blocks grows with the arcs,
+    not with ``n``.  A table sized by ``n`` would need ~n^2/budget blocks
+    here, and this rung's time would show it.
+    """
+    rng = np.random.default_rng(seed)
+    graph = from_edge_list(
+        rng.integers(0, num_vertices, size=(num_edges, 2)), num_vertices=num_vertices
+    )
+    graph.degree_oriented_csr()
+    seconds, _ = _time(lambda: batch_numerators(graph, Scheduler()))
+    return {
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+        "num_arcs": graph.num_arcs,
+        "similarity_pass_seconds": seconds,
+    }
+
+
+def run(ladder, output: Path | None, *, sparse_rung=None) -> dict:
     """Benchmark every rung of ``ladder`` and optionally write the JSON."""
     results = {
         "benchmark": "hot_paths",
         "environment": capture_environment(),
         "graphs": [bench_graph(*rung) for rung in ladder],
     }
+    if sparse_rung is not None:
+        results["sparse_similarity"] = bench_sparse_similarity(*sparse_rung)
     rows = []
     for record in results["graphs"]:
         for backend, seconds in sorted(record["construction_seconds"].items()):
@@ -141,10 +157,11 @@ def run(ladder, output: Path | None) -> dict:
             f"{record['batch_speedup_over_merge']:.1f}x faster than merge "
             f"({record['index_build_speedup_over_merge']:.1f}x on the full index build)"
         )
-        probes = record["probe_seconds"]
+    if sparse_rung is not None:
+        sparse = results["sparse_similarity"]
         print(
-            f"arcs={record['num_arcs']}: probe strategies -- global "
-            f"{probes['global']*1000:.1f} ms vs bounded {probes['bounded']*1000:.1f} ms"
+            f"sparse n={sparse['num_vertices']} m={sparse['num_edges']}: "
+            f"similarity pass {sparse['similarity_pass_seconds']:.3f} s"
         )
     if output is not None:
         output.write_text(json.dumps(results, indent=2) + "\n")
@@ -167,7 +184,10 @@ def main(argv=None) -> int:
                         help=f"JSON output path (default: {DEFAULT_OUTPUT})")
     add_record_argument(parser, REPO_ROOT)
     args = parser.parse_args(argv)
-    results = run(TINY_LADDER if args.tiny else DEFAULT_LADDER, args.output)
+    if args.tiny:
+        results = run(TINY_LADDER, args.output)
+    else:
+        results = run(DEFAULT_LADDER, args.output, sparse_rung=SPARSE_RUNG)
     if args.record is not None:
         record_payload(args.record, results, source="bench_hot_paths.py",
                        smoke=args.tiny)

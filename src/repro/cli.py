@@ -95,6 +95,7 @@ from .bench.report import (
 from .bench.reporting import format_table
 from .bench.store import BenchStore, BenchStoreError
 from .core.index import ScanIndex
+from .core.query import check_query_parameters
 from .dynamic import load_delta_file
 from .graphs.io import read_edge_list
 from .lsh.approximate import ApproximationConfig
@@ -114,6 +115,29 @@ def _load_artifact(path: str) -> ScanIndex | None:
         return ScanIndex.load(path)
     except (ArtifactFormatError, OSError) as error:
         print(f"error: cannot load index artifact {path!r}: {error}", file=sys.stderr)
+        return None
+
+
+def _build_from_edge_list(path: str, **build_options) -> ScanIndex | None:
+    """Read an edge list and build its index, reporting operator errors.
+
+    A missing or malformed edge list (the reader names the offending
+    ``path:line``) and a graph the build cannot take (weights with a
+    non-cosine measure) are operator mistakes: one ``error:`` line on stderr,
+    and the command exits with status 2.
+    """
+    try:
+        graph = read_edge_list(path)
+    except OSError as error:
+        print(f"error: cannot read edge list {path!r}: {error}", file=sys.stderr)
+        return None
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+    try:
+        return ScanIndex.build(graph, **build_options)
+    except ValueError as error:
+        print(f"error: cannot build an index of {path!r}: {error}", file=sys.stderr)
         return None
 
 
@@ -177,6 +201,11 @@ def experiment_payload(result, name: str) -> dict:
 
 
 def _command_cluster(args: argparse.Namespace) -> int:
+    try:
+        check_query_parameters(args.mu, args.epsilon)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.load is not None:
         conflicts = []
         if args.graph is not None:
@@ -193,15 +222,16 @@ def _command_cluster(args: argparse.Namespace) -> int:
             )
             return 2
         index = _load_artifact(args.load)
-        if index is None:
-            return 2
-        graph = index.graph
     elif args.graph is not None:
-        graph = read_edge_list(args.graph)
-        index = ScanIndex.build(graph, measure=args.measure, backend=args.backend)
+        index = _build_from_edge_list(
+            args.graph, measure=args.measure, backend=args.backend
+        )
     else:
         print("cluster: provide an edge-list file or --load ARTIFACT", file=sys.stderr)
         return 2
+    if index is None:
+        return 2
+    graph = index.graph
     if args.save is not None:
         path = index.save(args.save)
         print(f"saved index artifact to {path}")
@@ -223,7 +253,6 @@ def _command_cluster(args: argparse.Namespace) -> int:
 
 
 def _command_index_build(args: argparse.Namespace) -> int:
-    graph = read_edge_list(args.graph)
     approximate = None
     if args.approx_samples is not None:
         if args.measure not in ("cosine", "jaccard"):
@@ -236,15 +265,18 @@ def _command_index_build(args: argparse.Namespace) -> int:
         approximate = ApproximationConfig(
             measure=args.measure, num_samples=args.approx_samples, seed=args.seed
         )
-    index = ScanIndex.build(
-        graph,
+    index = _build_from_edge_list(
+        args.graph,
         measure=args.measure,
         backend=args.backend,
         approximate=approximate,
         jobs=args.jobs,
     )
+    if index is None:
+        return 2
     path = index.save(args.artifact)
     report = index.construction_report
+    graph = index.graph
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
     print(f"built {index.measure} index: work={report.work:.3g} span={report.span:.3g} "
           f"wall={report.wall_seconds:.3f}s")

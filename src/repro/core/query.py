@@ -110,11 +110,16 @@ def get_cores(
     paper; ``mu <= 1`` therefore makes every vertex a core, and values above
     the maximum closed degree yield no cores.
     """
+    check_query_parameters(mu, epsilon)
+    return core_order.cores(mu, epsilon, scheduler=scheduler)
+
+
+def check_query_parameters(mu: int, epsilon: float) -> None:
+    """Raise ``ValueError`` unless ``mu >= 2`` and ``0 <= epsilon <= 1``."""
     if mu < 2:
         raise ValueError(f"mu must be at least 2, got {mu}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    return core_order.cores(mu, epsilon, scheduler=scheduler)
 
 
 def _segmented_fill(out: np.ndarray, values: np.ndarray, block_starts: np.ndarray) -> None:

@@ -420,8 +420,8 @@ def _lexicographic_lower_bound(
     Each haystack segment is sorted ascending by ``(k1, k2)``; the result
     is the absolute position of the first entry ``>= (query_k1, query_k2)``
     lexicographically.  Two strategies locate the ``k1`` tie range, picked
-    by the measured crossover (the same constant-factor trade-off as the
-    batch similarity engine's probe strategies):
+    by the measured crossover (bounded rounds pay numpy-pass overhead per
+    round, a single C-speed search pays ``O(log haystack)`` per query):
 
     * **bounded rounds** (few queries): two simultaneous segmented binary
       searches -- a ``k1`` lower bound and a ``k1`` upper bound via

@@ -96,7 +96,9 @@ def _from_canonical_edges(
     else:
         arc_weights = None
 
-    order = np.lexsort((targets, sources))
+    # Arcs are distinct, so one sort of the composite key orders them by
+    # (source, target).
+    order = np.argsort(sources * np.int64(max(n, 1)) + targets)
     sources = sources[order]
     targets = targets[order]
     if arc_weights is not None:

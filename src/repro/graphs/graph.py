@@ -82,7 +82,6 @@ class Graph:
         self._degree_oriented_csr: DegreeOrientedCsr | None = None
         self._arc_search_keys: np.ndarray | None = None
         self._oriented_sources: np.ndarray | None = None
-        self._oriented_search_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -101,23 +100,27 @@ class Graph:
             raise ValueError("neighbor ids out of range")
         if self.arc_weights is not None and self.arc_weights.shape != self.indices.shape:
             raise ValueError("arc_weights must align with indices")
-        for v in range(n):
-            start, end = self.indptr[v], self.indptr[v + 1]
-            neighbors = self.indices[start:end]
-            if np.any(neighbors == v):
-                raise ValueError(f"self-loop at vertex {v}")
-            if np.any(np.diff(neighbors) <= 0):
-                raise ValueError(
-                    f"neighbor list of vertex {v} must be strictly increasing "
-                    "(sorted, no duplicates)"
-                )
+        # Whole-array checks; the error names the lowest offending vertex,
+        # a self-loop before an ordering fault of the same vertex.
+        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        loops = sources[self.indices == sources]
+        unordered = sources[1:][
+            (np.diff(self.indices) <= 0) & (sources[1:] == sources[:-1])
+        ]
+        if loops.size and (not unordered.size or loops[0] <= unordered[0]):
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        if unordered.size:
+            raise ValueError(
+                f"neighbor list of vertex {unordered[0]} must be strictly increasing "
+                "(sorted, no duplicates)"
+            )
 
     def _build_edge_index(self, arc_edge_ids: np.ndarray | None = None) -> None:
         """Derive the canonical edge list and the arc -> edge id mapping.
 
         When ``arc_edge_ids`` is supplied (a loaded index artifact handing the
-        mapping back), the lexicographic sort/search below is skipped entirely
-        -- reconstruction from stored columns must not redo any ordering work.
+        mapping back), the sort below is skipped entirely -- reconstruction
+        from stored columns must not redo any ordering work.
         """
         n = self.num_vertices
         sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
@@ -134,26 +137,22 @@ class Graph:
             self.arc_edge_ids = np.asarray(arc_edge_ids, dtype=np.int64)
             if self.arc_edge_ids.shape != self.indices.shape:
                 raise ValueError("arc_edge_ids must align with indices")
-        elif num_edges:
-            # Canonical edge ids are assigned in the order forward arcs appear
-            # in the CSR arrays, i.e. sorted by (u, v).  Every arc (x -> y)
-            # maps to the id of edge (min(x,y), max(x,y)) via a lexicographic
-            # search.
-            arc_min = np.minimum(sources, targets)
-            arc_max = np.maximum(sources, targets)
-            order = np.lexsort((self.edge_v, self.edge_u))
-            # Edges are already produced in lexicographic (u, v) order by the
-            # CSR scan, so `order` is the identity; keep the general code path
-            # for safety when subclasses override construction.
-            sorted_u = self.edge_u[order]
-            sorted_v = self.edge_v[order]
-            positions = np.searchsorted(
-                sorted_u * np.int64(self.num_vertices) + sorted_v,
-                arc_min * np.int64(self.num_vertices) + arc_max,
-            )
-            self.arc_edge_ids = order[positions]
         else:
-            self.arc_edge_ids = np.zeros(0, dtype=np.int64)
+            # Canonical edge ids are assigned in the order forward arcs appear
+            # in the CSR arrays, i.e. sorted by (u, v).  Sorted stably by
+            # target, the backward arcs x -> y list each y's sources in
+            # ascending order -- the order of y's forward arcs -- so the k-th
+            # of them is the reverse of edge k, which the check confirms.
+            backward = np.flatnonzero(~forward)
+            reverse = backward[np.argsort(targets[backward], kind="stable")]
+            if not (
+                np.array_equal(targets[reverse], self.edge_u)
+                and np.array_equal(sources[reverse], self.edge_v)
+            ):
+                raise ValueError("neighbor lists must be symmetric (undirected graph)")
+            self.arc_edge_ids = np.empty(targets.shape[0], dtype=np.int64)
+            self.arc_edge_ids[forward] = np.arange(num_edges, dtype=np.int64)
+            self.arc_edge_ids[reverse] = np.arange(num_edges, dtype=np.int64)
         self._arc_sources = sources
 
     @classmethod
@@ -373,20 +372,6 @@ class Graph:
         if self._oriented_sources is None:
             self.degree_oriented_csr()
         return self._oriented_sources
-
-    def oriented_search_keys(self) -> np.ndarray:
-        """Composite ``source * n + target`` key of every oriented arc.
-
-        Strictly increasing (sources non-decreasing, targets strictly
-        increasing per source), with a trailing ``-1`` sentinel so a
-        ``searchsorted`` miss past the end compares unequal without bounds
-        checks.  Memoised; the batch similarity engine probes this array.
-        """
-        if self._oriented_search_keys is None:
-            oriented = self.degree_oriented_csr()
-            keys = self._oriented_sources * np.int64(self.num_vertices) + oriented.indices
-            self._oriented_search_keys = np.append(keys, np.int64(-1))
-        return self._oriented_search_keys
 
     def arc_search_keys(self) -> np.ndarray:
         """Composite ``source * n + target`` key of every arc (memoised).

@@ -13,6 +13,8 @@ Two formats are supported:
 
 from __future__ import annotations
 
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,36 +22,81 @@ import numpy as np
 from .builders import from_edge_list
 from .graph import Graph
 
-_COMMENT_PREFIXES = ("#", "%")
+_COMMENT = re.compile("[#%]")
+#: One ``u v weight`` line of a uniformly weighted edge list.
+_WEIGHTED_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 ADJACENCY_HEADER = "AdjacencyGraph"
 WEIGHTED_ADJACENCY_HEADER = "WeightedAdjacencyGraph"
 
 
 def read_edge_list(path: str | Path, *, num_vertices: int | None = None) -> Graph:
-    """Read an (optionally weighted) edge-list text file into a graph."""
+    """Read an (optionally weighted) edge-list text file into a graph.
+
+    A file whose lines all have the same columns -- ``u v`` with integer ids,
+    or ``u v weight`` -- parses in one C-level ``np.loadtxt`` pass.  Ragged
+    files (weights on some lines only), ``%`` comments and malformed input
+    go through the line scanner, which names the offending ``path:line`` in
+    its errors.
+    """
     path = Path(path)
+    parsed = _load_uniform(path)
+    if parsed is None or (parsed[0].size and parsed[0].min() < 0):
+        parsed = _scan_edge_list(path)
+    edges, weights = parsed
+    return from_edge_list(edges, num_vertices=num_vertices, weights=weights)
+
+
+def _load_uniform(path: Path) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``(edges, weights)`` of a uniform-column file, or ``None`` otherwise."""
+    # One comment marker keeps numpy's parser in C: a tuple of markers
+    # preprocesses every line in Python.
+    with warnings.catch_warnings():
+        # An empty or comment-only file is an empty graph, not news.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            try:
+                rows = np.loadtxt(path, dtype=_WEIGHTED_ROW, comments="#", ndmin=1)
+            except ValueError:
+                return None
+            return np.stack([rows["u"], rows["v"]], axis=1), rows["w"]
+    if not rows.size:
+        return np.zeros((0, 2), dtype=np.int64), None
+    if rows.shape[1] < 2:
+        return None
+    return rows[:, :2], rows[:, 2].astype(np.float64) if rows.shape[1] >= 3 else None
+
+
+def _scan_edge_list(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Line-by-line edge-list parser: ragged files and line-named errors."""
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
     saw_weight = False
     with path.open() as handle:
         for line_number, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
-            if not line or line.startswith(_COMMENT_PREFIXES):
+            # A comment runs from its marker to the end of the line.
+            parts = _COMMENT.split(line, maxsplit=1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{line_number}: expected 'u v [weight]', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-            if len(parts) >= 3:
-                saw_weight = True
-                weights.append(float(parts[2]))
-            else:
-                weights.append(1.0)
-    return from_edge_list(
-        edges,
-        num_vertices=num_vertices,
-        weights=weights if saw_weight else None,
-    )
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                weight = float(parts[2]) if len(parts) >= 3 else 1.0
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}:{line_number}: expected 'u v [weight]' with integer "
+                    f"vertex ids, got {line!r}"
+                ) from None
+            if u < 0 or v < 0:
+                raise ValueError(
+                    f"{path}:{line_number}: vertex ids must be non-negative, got {line!r}"
+                )
+            edges.append((u, v))
+            weights.append(weight)
+            saw_weight = saw_weight or len(parts) >= 3
+    edge_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return edge_array, np.array(weights) if saw_weight else None
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:

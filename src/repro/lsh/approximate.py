@@ -90,8 +90,9 @@ def _exact_similarities_for_edges(
     Uses the same "probe the larger neighborhood with the smaller one"
     strategy as Algorithm 1, restricted to the requested edges, executed as
     one batched array pass (:func:`~repro.similarity.batch.
-    edge_numerators_for_subset`) rather than a per-edge Python loop; work
-    still adds up across edges with the span of the largest single edge.
+    edge_numerators_for_subset`: one ``np.searchsorted`` over the composite
+    arc keys) rather than a per-edge Python loop; work still adds up across
+    edges with the span of the largest single edge.
     """
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
     numerators = edge_numerators_for_subset(graph, edge_ids, scheduler)

@@ -304,11 +304,9 @@ def _numerator_worker(
     column_specs: dict,
     out_spec: SharedColumn,
     out_row: int,
-    num_vertices: int,
     arc_lo: int,
     arc_hi: int,
     chunk_pairs: int,
-    probe: str,
 ) -> None:
     """Triangle contributions of oriented arcs ``[arc_lo, arc_hi)``.
 
@@ -337,19 +335,10 @@ def _numerator_worker(
         handles.append(handle)
         accumulate_oriented_contributions(
             out[out_row],
-            (
-                columns["indptr"],
-                columns["targets"],
-                columns["edge_ids"],
-                columns["weights"],
-            ),
-            columns["sources"],
-            columns.get("comp"),
-            num_vertices,
+            (columns["indptr"], columns["targets"], columns["edge_ids"], None),
             arc_lo,
             arc_hi,
             chunk_pairs=chunk_pairs,
-            probe=probe,
         )
     finally:
         for handle in handles:
@@ -549,7 +538,6 @@ class ParallelExecutor:
         self,
         graph,
         *,
-        probe: str,
         chunk_pairs: int,
     ) -> np.ndarray | None:
         """Triangle contributions of every canonical edge (no base term).
@@ -593,11 +581,7 @@ class ParallelExecutor:
                     "indptr": columns.share(oriented.indptr),
                     "targets": columns.share(oriented.indices),
                     "edge_ids": columns.share(oriented.edge_ids),
-                    "weights": columns.share(oriented.weights),
-                    "sources": columns.share(graph.oriented_arc_sources()),
                 }
-                if probe == "global":
-                    specs["comp"] = columns.share(graph.oriented_search_keys())
                 num_tasks = int(bounds.shape[0] - 1)
                 # One private block per task rather than one big slab: retries
                 # of a non-idempotent accumulation must land in *fresh* memory,
@@ -609,8 +593,7 @@ class ParallelExecutor:
                     out_spec, out = columns.allocate((1, num_edges), np.float64)
                     outputs[row] = out
                     tasks.append((
-                        row, specs, out_spec, 0, graph.num_vertices,
-                        int(lo), int(hi), chunk_pairs, probe,
+                        row, specs, out_spec, 0, int(lo), int(hi), chunk_pairs,
                     ))
 
                 def respawn(index: int, attempt: int) -> tuple:

@@ -8,23 +8,19 @@ the *same* algorithm array-at-once:
 1. expand the oriented arcs into flat ``(arc, candidate)`` pairs, where the
    candidates of arc ``u -> v`` are the out-neighbors of ``v`` (memory use is
    bounded by processing the pairs in chunks of ``chunk_pairs``);
-2. test every candidate ``x`` for membership in ``out(u)`` with one of two
-   probe strategies (see :data:`PROBE_STRATEGIES` and :func:`resolve_probe`):
-   ``"global"`` searches the memoised composite keys ``source * n + target``
-   of the whole oriented CSR with a single C-speed ``np.searchsorted``
-   (``O(log 2m)`` per probe); ``"bounded"`` runs a per-source-segment
-   simultaneous binary search (:func:`~repro.parallel.primitives.
-   segmented_searchsorted`) restricted to ``u``'s out-segment, costing only
-   ``O(log max_out_degree)`` *rounds* of whole-array passes for the entire
-   chunk.  Which one wins is a constant-factor question -- the bounded
-   search does asymptotically less comparison work but pays numpy-pass
-   overhead per round, so it only overtakes the C binary search when
-   out-segments are very short -- and ``"auto"`` (the default) picks by the
-   measured crossover; ``BENCH_hot_paths.json`` records both strategies on
-   every benchmark rung;
+2. test every candidate ``x`` for membership in ``out(u)`` with an O(1)
+   *slot-table* probe -- the array form of the hash-table membership probe
+   of Algorithm 1 (Section 6.1).  The sources are walked in blocks; each
+   block gives every one of its arc targets a compact column
+   (``col_of[target]``) and fills a reused table ``(row, column) -> oriented
+   position + 1`` with the block's arcs, so a candidate is answered by two
+   gathers, ``col_of[x]`` and then the table slot.  The table holds
+   :data:`SLOT_TABLE_BYTES` whatever the graph's size: a block takes as many
+   sources as fit ``rows * (arcs + 1)`` slots;
 3. scatter the three per-triangle contributions onto the canonical edge ids
-   (``np.add.at`` semantics, executed via ``np.bincount`` which is
-   dramatically faster for large scatters).
+   once per chunk of pairs: weighted products via ``np.bincount``, and on
+   unweighted graphs one integer count per oriented position (``np.add.at``,
+   whose cost follows the triangles found, not the edge count).
 
 Because the batch engine performs exactly the intersection work of the merge
 engine, it charges *identical* work/span to the scheduler: per oriented arc
@@ -35,8 +31,10 @@ model while the execution strategy differs.
 
 :func:`edge_numerators_for_subset` applies the same treatment to an arbitrary
 subset of edges (probing the smaller endpoint's neighborhood against the
-larger one's), which is what the LSH low-degree fallback in
-:mod:`repro.lsh.approximate` batches its exact similarities with.
+larger one's with one ``np.searchsorted`` over the memoised composite arc
+keys), which is what the LSH low-degree fallback in
+:mod:`repro.lsh.approximate` and the weighted update path of
+:mod:`repro.dynamic.patch` batch their exact similarities with.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..parallel.metrics import ceil_log2
-from ..parallel.primitives import segmented_ranges, segmented_searchsorted
+from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
 
 #: Default bound on the number of ``(arc, candidate)`` pairs materialised at
@@ -53,39 +51,39 @@ from ..parallel.scheduler import Scheduler
 #: the scales this engine targets while keeping each chunk BLAS-friendly.
 DEFAULT_CHUNK_PAIRS = 1 << 22
 
-#: Membership-probe strategies of the batch engine (see module docstring).
-PROBE_STRATEGIES = ("auto", "global", "bounded")
-
-#: ``"auto"`` switches to the bounded segmented probe when the longest
-#: searched segment needs at most this many binary-search rounds.  Measured
-#: crossover (``BENCH_hot_paths.json``, probe microbenchmark): each bounded
-#: round costs several whole-array numpy passes, so the C-speed global search
-#: wins unless segments are short enough to resolve in a handful of rounds.
-BOUNDED_PROBE_MAX_ROUNDS = 3
+#: Memory of the slot table of the membership probe, independent of n and m.
+#: Measured on 2 CPUs with a 2 MB L2 per core: an 8 MB table beat a 32 MB one
+#: by ~5% on a 548k-edge dense graph and ~25% on a 369k-edge social graph,
+#: and tied it on a 1M-vertex / 4M-edge sparse graph (more blocks, each one
+#: more cache-resident).
+SLOT_TABLE_BYTES = 8 << 20
 
 
-def resolve_probe(probe: str, max_segment_length: int) -> str:
-    """Resolve ``"auto"`` to a concrete probe strategy for a given workload."""
-    if probe not in PROBE_STRATEGIES:
-        raise ValueError(f"unknown probe strategy {probe!r}; expected one of {PROBE_STRATEGIES}")
-    if probe != "auto":
-        return probe
-    if max_segment_length <= (1 << BOUNDED_PROBE_MAX_ROUNDS):
-        return "bounded"
-    return "global"
+def _block_end(indptr: np.ndarray, first: int, last: int, slots: int) -> int:
+    """Largest ``end`` in ``(first, last]`` whose block fits ``slots`` slots.
+
+    Sources ``[first, end)`` need ``rows * (arcs + 1)`` slots, which grows
+    with ``end``, so a binary search finds the bound.  A single source always
+    forms a block (the caller sizes the table to hold any one source).
+    """
+    base = int(indptr[first])
+    lo, hi = first + 1, last
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mid - first) * (int(indptr[mid]) - base + 1) <= slots:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def accumulate_oriented_contributions(
     out: np.ndarray,
     oriented: tuple,
-    sources: np.ndarray,
-    comp: np.ndarray | None,
-    num_vertices: int,
     arc_range_start: int,
     arc_range_end: int,
     *,
     chunk_pairs: int,
-    probe: str,
 ) -> None:
     """Add triangle contributions of oriented arcs ``[start, end)`` onto ``out``.
 
@@ -95,9 +93,14 @@ def accumulate_oriented_contributions(
     (:mod:`repro.parallel.execute`) run exactly this function, which is what
     keeps the process-parallel similarity pass bit-identical to the serial
     one on unweighted graphs (all contributions are integers, so the shard
-    merge order cannot matter).  ``probe`` must already be concrete
-    (``"global"`` requires ``comp``, the sentinel-terminated composite keys
-    of the whole orientation).
+    merge order cannot matter).  ``oriented`` is the degree-oriented CSR
+    ``(indptr, targets, edge_ids, weights)``, with ``weights`` ``None`` for
+    an unweighted graph.
+
+    The slot table of a block always holds *every* arc of the block's
+    sources, also those outside ``[start, end)``: a shard may begin or end
+    inside a source's out-segment, and the candidates of its arcs must still
+    be probed against that source's whole out-neighborhood.
     """
     indptr, targets, edge_ids, weights = oriented
     num_edges = int(out.shape[0])
@@ -112,6 +115,30 @@ def accumulate_oriented_contributions(
     out_degrees = np.diff(indptr)
     range_counts = out_degrees[targets[arc_range_start:arc_range_end]]
     range_cumulative = np.cumsum(range_counts)
+
+    # Probe state.  Rows are sources relative to the block's first source and
+    # columns are arc offsets within the block, shifted by one so offset 0 of
+    # every row is a never-written zero: ``col_of`` holds -1 for any vertex
+    # that is not a target of the current block, which lands there and
+    # misses.  Positions are stored + 1 so an empty slot reads 0.
+    first_source = int(np.searchsorted(indptr, arc_range_start, side="right")) - 1
+    last_source = int(np.searchsorted(indptr, arc_range_end - 1, side="right"))
+    position_type = np.int32 if num_oriented < np.iinfo(np.int32).max else np.int64
+    # The degree orientation caps out-degrees near sqrt(2m), so the largest
+    # single source exceeds the budget only beyond ~10^12 edges.
+    slots = max(
+        SLOT_TABLE_BYTES // np.dtype(position_type).itemsize,
+        int(out_degrees.max()) + 1,
+    )
+    # Zeroed lazily by the OS: a small graph touches only the pages it uses.
+    table = np.zeros(slots, dtype=position_type)
+    col_of = np.full(indptr.shape[0] - 1, -1, dtype=position_type)
+    block_first = block_last = first_source
+    block_arcs = (0, 0)
+    filled = None
+    if weights is None:
+        triangles = np.zeros(num_oriented, dtype=np.int64)
+
     arc_start = arc_range_start
     while arc_start < arc_range_end:
         relative_start = arc_start - arc_range_start
@@ -120,41 +147,63 @@ def accumulate_oriented_contributions(
             np.searchsorted(range_cumulative, base + chunk_pairs, side="right")
         )
         arc_end = min(max(arc_end, arc_start + 1), arc_range_end)
-        counts = range_counts[relative_start:arc_end - arc_range_start]
-        chunk_total = int(counts.sum())
-        if chunk_total == 0:
+        if int(range_counts[relative_start:arc_end - arc_range_start].sum()) == 0:
             arc_start = arc_end
             continue
-        # (arc, candidate) pair expansion for this chunk: the candidates of
-        # arc u -> v are the positions of v's out-segment.
-        pair_arc = np.repeat(np.arange(arc_start, arc_end, dtype=np.int64), counts)
-        candidate_pos = segmented_ranges(indptr[targets[arc_start:arc_end]], counts)
-        queries = targets[candidate_pos]
-        if probe == "global":
-            keys = (
-                np.repeat(sources[arc_start:arc_end] * np.int64(num_vertices), counts)
-                + queries
-            )
-            locations = np.searchsorted(comp[:num_oriented], keys)
-            # A miss past the end lands on the sentinel and compares unequal.
-            found = comp[locations] == keys
+        found_uv, found_ux, found_vx = [], [], []
+        piece_start = arc_start
+        while piece_start < arc_end:
+            if piece_start >= block_arcs[1]:
+                # Next block of sources: clear the slots and columns the
+                # previous block wrote, then write this block's.
+                if filled is not None:
+                    table[filled] = 0
+                    col_of[block_targets] = -1
+                block_first = block_last
+                block_last = _block_end(indptr, block_first, last_source, slots)
+                block_arcs = (int(indptr[block_first]), int(indptr[block_last]))
+                block_targets = targets[block_arcs[0]:block_arcs[1]]
+                stride = block_arcs[1] - block_arcs[0] + 1
+                col_of[block_targets] = np.arange(stride - 1, dtype=position_type)
+                # Row offset of every arc of the block, plus the column shift.
+                row_base = np.repeat(
+                    np.arange(block_last - block_first, dtype=np.int64) * stride + 1,
+                    out_degrees[block_first:block_last],
+                )
+                filled = row_base + col_of[block_targets]
+                table[filled] = np.arange(
+                    block_arcs[0] + 1, block_arcs[1] + 1, dtype=position_type
+                )
+            piece_end = min(arc_end, block_arcs[1])
+            counts = range_counts[piece_start - arc_range_start:piece_end - arc_range_start]
+            if counts.any():
+                # (arc, candidate) pair expansion: the candidates of arc
+                # u -> v are the positions of v's out-segment.
+                pair_arc = np.repeat(
+                    np.arange(piece_start, piece_end, dtype=np.int64), counts
+                )
+                candidate_pos = segmented_ranges(
+                    indptr[targets[piece_start:piece_end]], counts
+                )
+                pair_row = np.repeat(
+                    row_base[piece_start - block_arcs[0]:piece_end - block_arcs[0]],
+                    counts,
+                )
+                hit = table[pair_row + col_of[targets[candidate_pos]]]
+                found = np.flatnonzero(hit != 0)
+                found_uv.append(pair_arc[found])       # position of edge (u, v)
+                found_ux.append(hit[found] - 1)        # position of x in out(u)
+                found_vx.append(candidate_pos[found])  # position of x in out(v)
+            piece_start = piece_end
+        if weights is None:
+            # Unit weights: a triangle adds 1 to each of its three edges.
+            # Counting per oriented position (each one a distinct edge) costs
+            # only the triangles found, not an O(m) pass per chunk.
+            np.add.at(triangles, np.concatenate(found_uv + found_ux + found_vx), 1)
         else:
-            # Bounded probe: candidate x of arc u -> v is searched only
-            # within u's out-segment, all probes advancing together.
-            pair_sources = np.repeat(sources[arc_start:arc_end], counts)
-            seg_ends = indptr[pair_sources + 1]
-            locations = segmented_searchsorted(
-                targets, queries, indptr[pair_sources], seg_ends
-            )
-            # A probe that exhausts its segment stops at seg_ends; clip
-            # before gathering so the comparison stays in bounds (and fails).
-            found = (locations < seg_ends) & (
-                targets[np.minimum(locations, num_oriented - 1)] == queries
-            )
-        if found.any():
-            arc_uv = pair_arc[found]       # oriented position of edge (u, v)
-            arc_ux = locations[found]      # position of x in out(u)
-            arc_vx = candidate_pos[found]  # position of x in out(v)
+            arc_uv = np.concatenate(found_uv)
+            arc_ux = np.concatenate(found_ux)
+            arc_vx = np.concatenate(found_vx)
             w_uv = weights[arc_uv]
             w_ux = weights[arc_ux]
             w_vx = weights[arc_vx]
@@ -169,6 +218,10 @@ def accumulate_oriented_contributions(
                 edge_ids[arc_vx], weights=w_uv * w_ux, minlength=num_edges
             )
         arc_start = arc_end
+    if weights is None:
+        # Sparse graphs find few triangles: scatter only the nonzero counts.
+        touched = np.flatnonzero(triangles)
+        out[edge_ids[touched]] += triangles[touched]
 
 
 def batch_numerators(
@@ -176,15 +229,12 @@ def batch_numerators(
     scheduler: Scheduler,
     *,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    probe: str = "auto",
     executor=None,
 ) -> np.ndarray:
     """Closed-neighborhood dot product of every edge, with no per-arc loop.
 
     Returns the same numerator array as ``_numerators_merge`` (up to float
-    summation order) and charges the same work/span.  ``probe`` selects the
-    membership-probe strategy (module docstring); the default picks by the
-    measured crossover.  ``executor`` -- a
+    summation order) and charges the same work/span.  ``executor`` -- a
     :class:`~repro.parallel.execute.ParallelExecutor` -- shards the pass
     across worker processes for unweighted graphs (bit-identical: integer
     contributions merge exactly); weighted graphs ignore it and stay serial
@@ -210,13 +260,6 @@ def batch_numerators(
 
     out_degrees = np.diff(indptr)
     sources = graph.oriented_arc_sources()
-    probe = resolve_probe(probe, int(out_degrees.max(initial=0)))
-    comp = None
-    if probe == "global":
-        # Strictly increasing composite key of every oriented arc (memoised
-        # on the graph, with a trailing sentinel for bounds-free misses).
-        comp = graph.oriented_search_keys()
-    n = graph.num_vertices
 
     # Cost model: identical to the merge backend.  Arcs whose target has no
     # out-neighbors are skipped there before any cost accrues.  The maximum
@@ -233,15 +276,14 @@ def batch_numerators(
 
     contributions = None
     if executor is not None:
-        contributions = executor.sharded_numerators(
-            graph, probe=probe, chunk_pairs=chunk_pairs
-        )
+        contributions = executor.sharded_numerators(graph, chunk_pairs=chunk_pairs)
     if contributions is not None:
         numerators += contributions
     else:
+        if graph.edge_weights is None:
+            oriented = oriented._replace(weights=None)
         accumulate_oriented_contributions(
-            numerators, oriented, sources, comp, n, 0, num_oriented,
-            chunk_pairs=chunk_pairs, probe=probe,
+            numerators, oriented, 0, num_oriented, chunk_pairs=chunk_pairs
         )
 
     scheduler.charge(total_work, max_span + ceil_log2(max(num_edges, 1)) + 1.0)
@@ -254,7 +296,6 @@ def edge_numerators_for_subset(
     scheduler: Scheduler,
     *,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    probe: str = "auto",
 ) -> np.ndarray:
     """Closed-neighborhood dot products of the selected edges only.
 
@@ -276,10 +317,8 @@ def edge_numerators_for_subset(
     u, v = np.where(swap, v, u), np.where(swap, u, v)
 
     num_arcs = graph.num_arcs
-    probe = resolve_probe(probe, int(degrees[v].max(initial=0)))
-    if probe == "global":
-        n = graph.num_vertices
-        comp = graph.arc_search_keys()
+    n = graph.num_vertices
+    comp = graph.arc_search_keys()
     counts = degrees[u]
     costs = counts + 1
     total_work = float(costs.sum())
@@ -300,21 +339,10 @@ def edge_numerators_for_subset(
         pair_edge = np.repeat(np.arange(edge_start, edge_end, dtype=np.int64), chunk_counts)
         probe_pos = segmented_ranges(graph.indptr[u[edge_start:edge_end]], chunk_counts)
         candidates = graph.indices[probe_pos]
-        if probe == "global":
-            keys = v[pair_edge] * np.int64(n) + candidates
-            locations = np.searchsorted(comp[:num_arcs], keys)
-            # A miss past the end lands on the sentinel and compares unequal.
-            found = comp[locations] == keys
-        else:
-            # Bounded probe of candidate x within v's neighbor segment only.
-            pair_v = v[pair_edge]
-            seg_ends = graph.indptr[pair_v + 1]
-            locations = segmented_searchsorted(
-                graph.indices, candidates, graph.indptr[pair_v], seg_ends
-            )
-            found = (locations < seg_ends) & (
-                graph.indices[np.minimum(locations, num_arcs - 1)] == candidates
-            )
+        keys = v[pair_edge] * np.int64(n) + candidates
+        locations = np.searchsorted(comp[:num_arcs], keys)
+        # A miss past the end lands on the sentinel and compares unequal.
+        found = comp[locations] == keys
         if found.any():
             if graph.arc_weights is None:
                 contributions = np.ones(int(np.count_nonzero(found)), dtype=np.float64)

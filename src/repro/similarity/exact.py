@@ -9,9 +9,10 @@ backend    strategy                                            when to pick it
 =========  ==================================================  =======================
 ``batch``  the merge strategy executed array-at-once: flat     **default.**  Fastest
            ``(arc, candidate)`` pair expansion in memory-       wall-clock on every
-           bounded chunks, one ``np.searchsorted`` over the     graph size; zero
-           oriented CSR's composite keys, ``np.bincount``       Python-level per-arc
-           scatter-adds.  Charges the same ``O(m^{3/2})``       iteration.
+           bounded chunks, an O(1) slot-table membership        graph size; zero
+           probe per candidate (a fixed-size table filled       Python-level per-arc
+           per block of sources), ``np.bincount``               iteration.
+           scatter-adds.  Charges the same ``O(m^{3/2})``
            work / ``O(log n)`` span as ``merge``.
 ``merge``  the optimisation the paper's implementation uses:    cross-checking
            orient each edge toward its higher-degree            reference for

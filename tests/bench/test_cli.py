@@ -348,3 +348,78 @@ class TestUpdateDurability:
         assert main(["index", "verify", str(artifact), "--deep"]) == 0
         assert "recovery: rolled-back" in capsys.readouterr().out
         assert main(["index", "query", str(artifact)]) == 0
+
+
+#: Malformed edge-list inputs: (class, file body, line the error must name).
+MALFORMED_EDGE_LISTS = [
+    ("non-integer-id", "0 1\n1 x\n", 2),
+    ("float-id", "0 1\n1.5 2\n", 2),
+    ("negative-id", "0 1\n# comment\n-1 2\n", 3),
+    ("missing-endpoint", "0 1\n3\n", 2),
+    ("garbled-weight", "0 1 0.5\n1 2 heavy\n", 2),
+]
+
+#: Every subcommand that reads an edge list, as argv with placeholders.
+EDGE_LIST_COMMANDS = {
+    "cluster": ["cluster", "{edges}", "--mu", "2", "--epsilon", "0.5"],
+    "index-build": ["index", "build", "{edges}", "{out}"],
+}
+
+
+class TestOperatorErrors:
+    """Bad operator input gives one ``error:`` line on stderr and exit 2."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert code == 2, err
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    @pytest.mark.parametrize("command", sorted(EDGE_LIST_COMMANDS))
+    @pytest.mark.parametrize(
+        "kind, body, line", MALFORMED_EDGE_LISTS, ids=[c[0] for c in MALFORMED_EDGE_LISTS]
+    )
+    def test_malformed_edge_list(self, command, kind, body, line, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(body)
+        argv = [
+            token.format(edges=edges, out=tmp_path / "out.scanidx")
+            for token in EDGE_LIST_COMMANDS[command]
+        ]
+        assert f"{edges}:{line}:" in self._run(argv, capsys)
+        assert not (tmp_path / "out.scanidx").exists()
+
+    @pytest.mark.parametrize("command", sorted(EDGE_LIST_COMMANDS))
+    def test_missing_edge_list(self, command, tmp_path, capsys):
+        argv = [
+            token.format(edges=tmp_path / "absent.txt", out=tmp_path / "out.scanidx")
+            for token in EDGE_LIST_COMMANDS[command]
+        ]
+        assert "cannot read edge list" in self._run(argv, capsys)
+
+    @pytest.mark.parametrize("command", sorted(EDGE_LIST_COMMANDS))
+    def test_weighted_graph_with_non_cosine_measure(self, command, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1 0.5\n1 2 0.25\n0 2 1.0\n")
+        argv = [
+            token.format(edges=edges, out=tmp_path / "out.scanidx")
+            for token in EDGE_LIST_COMMANDS[command]
+        ] + ["--measure", "jaccard"]
+        assert "cosine" in self._run(argv, capsys)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mu", "1"], "mu must be at least 2"),
+        (["--epsilon", "1.5"], "epsilon must lie in [0, 1]"),
+        (["--epsilon", "-0.1"], "epsilon must lie in [0, 1]"),
+    ])
+    def test_bad_query_parameters(self, flags, message, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        write_edge_list(paper_example_graph(), edges)
+        assert message in self._run(["cluster", str(edges), *flags], capsys)
+
+    def test_bad_query_parameters_with_loaded_artifact(self, artifact, capsys):
+        line = self._run(["cluster", "--load", str(artifact), "--mu", "1"], capsys)
+        assert "mu must be at least 2" in line

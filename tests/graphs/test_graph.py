@@ -31,6 +31,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             Graph(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
 
+    @pytest.mark.parametrize("indptr, indices, message", [
+        ([0, 1, 2], [1, 1], "self-loop at vertex 1"),
+        ([0, 2, 3, 4], [1, 1, 0, 2], "neighbor list of vertex 0 must be strictly increasing"),
+        ([0, 1, 3, 4], [1, 1, 0, 1], "self-loop at vertex 1"),
+        ([0, 2, 3, 3], [1, 2, 0], "neighbor lists must be symmetric"),
+        ([0, 0, 1], [0], "neighbor lists must be symmetric"),
+    ])
+    def test_error_names_the_first_fault(self, indptr, indices, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(np.array(indptr), np.array(indices))
+
+    def test_sorted_lists_may_descend_across_vertices(self):
+        graph = Graph(np.array([0, 2, 3, 4]), np.array([1, 2, 0, 0]))
+        assert graph.num_edges == 2
+        assert graph.arc_edge_ids.tolist() == [0, 1, 0, 1]
+
     def test_weights_must_align(self):
         with pytest.raises(ValueError):
             Graph(np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0]))

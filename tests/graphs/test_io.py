@@ -1,7 +1,11 @@
 """Tests for graph file I/O (edge list and adjacency formats)."""
 
+import re
+
+import numpy as np
 import pytest
 
+from repro.graphs import io
 from repro.graphs import (
     from_edge_list,
     from_weighted_edge_list,
@@ -36,6 +40,45 @@ class TestEdgeListFormat:
         path = tmp_path / "bad.txt"
         path.write_text("0\n")
         with pytest.raises(ValueError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("body", [
+        "0 1\n1 2\n0 2\n",
+        "# header\n5 6\n",
+        "0 1 0.25\n1 2 2\n",
+        "0 1 3\n1 2 4\n",
+        "0 1\n1 2 0.5\n",
+        "0 1 # trailing note\n1 2\n",
+        "% matrix-market style\n0 1\n",
+        "1 0\n0 1 0.5\n2 2\n",
+        "",
+        "# only a comment\n",
+    ], ids=[
+        "uniform", "single-line", "weighted", "integer-weights", "ragged",
+        "inline-comment", "percent-comment", "duplicate-and-loop", "empty",
+        "comment-only",
+    ])
+    def test_fast_path_matches_line_scanner(self, tmp_path, body):
+        path = tmp_path / "graph.txt"
+        path.write_text(body)
+        edges, weights = io._scan_edge_list(path)
+        expected = from_edge_list(edges, weights=weights)
+        loaded = read_edge_list(path)
+        assert loaded == expected
+        assert loaded.is_weighted == expected.is_weighted
+        if expected.is_weighted:
+            assert np.array_equal(loaded.edge_weights, expected.edge_weights)
+
+    @pytest.mark.parametrize("body, line", [
+        ("0 1\n1 x\n", 2),
+        ("0 1\n1.5 2\n", 2),
+        ("# c\n0 1\n-3 2\n", 3),
+        ("0 1 0.5\n1 2 w\n", 2),
+    ])
+    def test_errors_name_the_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
             read_edge_list(path)
 
     def test_num_vertices_override(self, tmp_path):

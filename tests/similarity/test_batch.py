@@ -13,6 +13,7 @@ import pytest
 from repro.graphs import complete_graph, empty_graph, from_edge_list
 from repro.parallel import Scheduler
 from repro.similarity import compute_similarities, edge_numerators_for_subset
+from repro.similarity import batch
 from repro.similarity.batch import batch_numerators
 
 MEASURES = ("cosine", "jaccard", "dice")
@@ -130,36 +131,96 @@ class TestSubsetNumerators:
         assert result.shape == (0,)
 
 
-class TestProbeStrategies:
-    """Both membership-probe strategies must agree exactly (see module doc)."""
+def hub_heavy_graph(clique_size=30, star_leaves=200):
+    """A clique sharing its hub vertex 0 with a long star of leaves."""
+    clique = [(u, v) for u in range(clique_size) for v in range(u + 1, clique_size)]
+    star = [(0, clique_size + leaf) for leaf in range(star_leaves)]
+    return from_edge_list(clique + star)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_bounded_and_global_probes_agree(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        graph = random_graph(rng, 35, 0.25, weighted=bool(seed % 2))
-        bounded = batch_numerators(graph, Scheduler(), probe="bounded")
-        global_probe = batch_numerators(graph, Scheduler(), probe="global")
-        np.testing.assert_array_equal(bounded, global_probe)
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_subset_probes_agree(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        graph = random_graph(rng, 30, 0.3, weighted=False)
-        subset = rng.choice(graph.num_edges, size=graph.num_edges // 2, replace=False)
-        bounded = edge_numerators_for_subset(graph, subset, Scheduler(), probe="bounded")
-        global_probe = edge_numerators_for_subset(
-            graph, subset, Scheduler(), probe="global"
+def dyadic_weighted_graph(rng, num_vertices, edge_probability):
+    """Random graph whose weights are multiples of 1/4 in [0.25, 2].
+
+    Every product and sum of such weights is exact in float64, so the
+    numerators cannot depend on summation order and backends must agree
+    bit for bit.
+    """
+    graph = random_graph(rng, num_vertices, edge_probability)
+    weights = rng.integers(1, 9, size=graph.num_edges) / 4.0
+    return from_edge_list(
+        np.stack(graph.edge_list(), axis=1), num_vertices=num_vertices, weights=weights
+    )
+
+
+def merge_numerators(graph):
+    return compute_similarities(graph, backend="merge").numerators
+
+
+class TestSlotTableProbe:
+    """The slot-table probe finds exactly the merge engine's triangles."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            hub_heavy_graph(),
+            star_graph(50),
+            empty_graph(6),
+            from_edge_list([(0, 1), (1, 2), (0, 2), (5, 7), (7, 9), (5, 9)], num_vertices=40),
+            dyadic_weighted_graph(np.random.default_rng(500), 45, 0.3),
+            random_graph(np.random.default_rng(501), 60, 0.25),
+        ],
+        ids=["hub-heavy", "star", "empty", "isolated-vertices", "weighted", "random"],
+    )
+    @pytest.mark.parametrize("table_bytes", [None, 64])
+    def test_equals_merge_exactly(self, monkeypatch, graph, table_bytes):
+        if table_bytes is not None:
+            # A tiny table forces one block per source; the engine sizes it
+            # up to the longest single out-segment.
+            monkeypatch.setattr(batch, "SLOT_TABLE_BYTES", table_bytes)
+        np.testing.assert_array_equal(
+            batch_numerators(graph, Scheduler()), merge_numerators(graph)
         )
-        np.testing.assert_array_equal(bounded, global_probe)
 
-    def test_unknown_probe_rejected(self, triangle_graph):
-        with pytest.raises(ValueError):
-            batch_numerators(triangle_graph, Scheduler(), probe="psychic")
+    def test_ranges_cut_inside_an_out_segment_sum_to_the_full_pass(self):
+        graph = hub_heavy_graph()
+        oriented = graph.degree_oriented_csr()
+        num_oriented = int(oriented.indices.shape[0])
+        full = np.zeros(graph.num_edges)
+        batch.accumulate_oriented_contributions(
+            full, oriented, 0, num_oriented, chunk_pairs=1 << 22
+        )
+        for cut in range(1, num_oriented):
+            pieces = np.zeros(graph.num_edges)
+            for lo, hi in ((0, cut), (cut, num_oriented)):
+                batch.accumulate_oriented_contributions(
+                    pieces, oriented, lo, hi, chunk_pairs=7
+                )
+            np.testing.assert_array_equal(pieces, full)
 
-    def test_auto_resolves_by_segment_length(self):
-        from repro.similarity.batch import resolve_probe
+    def test_jobs2_shard_cut_inside_an_out_segment(self, monkeypatch):
+        from repro.parallel import execute
 
-        assert resolve_probe("auto", 2) == "bounded"
-        assert resolve_probe("auto", 1000) == "global"
-        assert resolve_probe("bounded", 1000) == "bounded"
-        assert resolve_probe("global", 2) == "global"
+        monkeypatch.setattr(execute, "PARALLEL_FLOOR_ARCS", 0)
+        graph = hub_heavy_graph()
+        oriented = graph.degree_oriented_csr()
+        # The cut sharded_numerators makes for two shards (pair-count median).
+        cumulative = np.cumsum(np.diff(oriented.indptr)[oriented.indices])
+        cut = int(np.searchsorted(cumulative, int(cumulative[-1]) // 2))
+        assert cut not in set(oriented.indptr.tolist()), "cut must split a segment"
+        with execute.ParallelExecutor(2) as executor:
+            sharded = batch_numerators(graph, Scheduler(), executor=executor)
+        np.testing.assert_array_equal(sharded, batch_numerators(graph, Scheduler()))
+        np.testing.assert_array_equal(sharded, merge_numerators(graph))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_subset_equals_full_pass(self, weighted):
+        rng = np.random.default_rng(600 + weighted)
+        graph = (
+            dyadic_weighted_graph(rng, 50, 0.3) if weighted
+            else random_graph(rng, 50, 0.3)
+        )
+        subset = rng.choice(graph.num_edges, size=graph.num_edges // 3, replace=False)
+        np.testing.assert_array_equal(
+            edge_numerators_for_subset(graph, subset, Scheduler()),
+            batch_numerators(graph, Scheduler())[subset],
+        )
